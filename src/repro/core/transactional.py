@@ -128,15 +128,19 @@ def refresh_versioned(
     The copy-on-refresh discipline behind concurrent serving:
 
     1. :meth:`~repro.views.materialize.MaterializedView.begin_version`
-       copies the current epoch's table (rows + index definitions) into a
-       private :class:`~repro.views.materialize.ShadowVersion` whose
-       certificate is seeded O(1) from the live one;
+       makes a structural copy of the current epoch's table (storage
+       slices, shared index buckets; no per-row work) into a private
+       :class:`~repro.views.materialize.ShadowVersion` that records the
+       slots its build writes, with a certificate seeded O(1) from the
+       live one;
     2. the shared Figure 7 machinery refreshes the shadow exactly as it
        would the live table — readers see none of it;
-    3. :meth:`~repro.views.materialize.MaterializedView.publish` validates
-       the shadow's incrementally-maintained certificate against a fresh
-       digest of its rows (*validate*) and installs it with one reference
-       swap.
+    3. :meth:`~repro.views.materialize.MaterializedView.publish` refuses
+       the shadow if its base epoch was written in place meanwhile,
+       validates (*validate*) the shadow's incrementally-maintained
+       certificate against one recomputed from storage over the written
+       slots — O(|summary-delta|), not O(|view|) — and installs it with
+       one reference swap.
 
     A failure anywhere — including the injected *failure_hook*, invoked
     with ``"build"`` then ``"publish"`` — simply abandons the shadow: the

@@ -69,9 +69,11 @@ class PublishError(MaintenanceError):
     """A shadow view version cannot be published.
 
     Raised when the shadow was built against an epoch that is no longer
-    current (two concurrent maintainers raced) or when the shadow's
-    incrementally-maintained certificate does not match a fresh digest of
-    its rows (a torn or corrupted build must never become visible).
+    current (two concurrent maintainers raced), when that base epoch was
+    written in place after the shadow copied it (publishing would drop
+    the write), or when the shadow's incrementally-maintained certificate
+    does not match one recomputed from storage over the slots the build
+    wrote (a torn or corrupted build must never become visible).
     """
 
 

@@ -16,6 +16,17 @@ observable quantity instead of an assumption:
   mutation path — both refresh variants, atomic rollback through the
   undo log, rematerialisation — keeps it consistent without the callers
   knowing it exists.
+
+Epoch publish (:meth:`repro.views.materialize.MaterializedView.publish`)
+checks a shadow's certificate over the slots its build wrote only:
+O(|summary-delta|) digests, as strong as a full re-hash on those slots,
+while the untouched slots are byte copies of an epoch already published.
+The full O(|view|) re-hash of every stored row — the check that catches
+storage corruption anywhere, including slots no build touched — is the
+audit's (:func:`repro.warehouse.health.audit_warehouse`, failure kind
+``certificate-drift``) and the status check's
+(:func:`repro.warehouse.health.warehouse_status` with
+``verify_certificates=True``).
 * :class:`ViewFreshness` — per-view freshness: last refresh timestamp,
   run id, kind, and cumulative delta rows applied.
 * :class:`IntegrityEvent` — one alertable integrity finding, with a

@@ -10,6 +10,12 @@ rows.
 Indexes are maintained incrementally by :class:`~repro.relational.table.Table`
 as rows are inserted and deleted, so a refresh run pays only per-touched-row
 index maintenance, as a real RDBMS would.
+
+Buckets are immutable tuples: :meth:`HashIndex.add` and
+:meth:`HashIndex.remove` rebind a key to a new tuple rather than editing
+the old one.  That is what makes :meth:`HashIndex.copy` a plain
+``dict.copy()`` — the copy and its source share every bucket until one of
+them rebinds a key, and neither can see the other's writes.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ class HashIndex:
     The index maps key tuples to *row slots* — integer positions into the
     owning table's internal row list.  Deleted slots are tombstoned by the
     table; the index removes slots eagerly so lookups never see dead rows.
+    Each key's slots are held in an immutable tuple (see the module
+    docstring); :meth:`lookup` still hands callers a fresh list.
 
     Parameters
     ----------
@@ -48,7 +56,7 @@ class HashIndex:
         self.columns = tuple(columns)
         self._positions = tuple(positions)
         self.unique = unique
-        self._buckets: dict[tuple[Any, ...], list[int]] = {}
+        self._buckets: dict[tuple[Any, ...], tuple[int, ...]] = {}
 
     def key_of(self, row: Sequence[Any]) -> tuple[Any, ...]:
         """Extract this index's key tuple from a full row."""
@@ -60,13 +68,38 @@ class HashIndex:
         key = self.key_of(row)
         bucket = self._buckets.get(key)
         if bucket is None:
-            self._buckets[key] = [slot]
+            self._buckets[key] = (slot,)
         else:
             if self.unique:
                 raise TableError(
                     f"unique index on {self.columns} violated by key {key!r}"
                 )
-            bucket.append(slot)
+            self._buckets[key] = bucket + (slot,)
+
+    def build(self, entries: Iterable[tuple[int, Sequence[Any]]]) -> None:
+        """Register every ``(slot, row)`` pair of an initial load.
+
+        Equivalent to calling :meth:`add` per pair, but each bucket is
+        collected in a list and frozen once, so loading a key with *k*
+        rows costs O(k) instead of the O(k²) of repeated tuple rebinding.
+        """
+        positions = self._positions
+        pending: dict[tuple[Any, ...], list[int]] = {}
+        for slot, row in entries:
+            key = tuple(row[p] for p in positions)
+            slots = pending.get(key)
+            if slots is None:
+                pending[key] = [slot]
+            else:
+                slots.append(slot)
+        buckets = self._buckets
+        for key, slots in pending.items():
+            bucket = buckets.get(key, ())
+            if self.unique and len(bucket) + len(slots) > 1:
+                raise TableError(
+                    f"unique index on {self.columns} violated by key {key!r}"
+                )
+            buckets[key] = bucket + tuple(slots)
 
     def remove(self, row: Sequence[Any], slot: int) -> None:
         """Unregister *row* previously stored at *slot*."""
@@ -75,13 +108,15 @@ class HashIndex:
         if not bucket:
             raise TableError(f"index on {self.columns}: key {key!r} not present")
         try:
-            bucket.remove(slot)
+            at = bucket.index(slot)
         except ValueError:
             raise TableError(
                 f"index on {self.columns}: slot {slot} not registered for key {key!r}"
             ) from None
-        if not bucket:
+        if len(bucket) == 1:
             del self._buckets[key]
+        else:
+            self._buckets[key] = bucket[:at] + bucket[at + 1:]
 
     def lookup(self, key: tuple[Any, ...]) -> list[int]:
         """Return the row slots whose key equals *key* (empty when absent)."""
@@ -91,7 +126,7 @@ class HashIndex:
         span = current_span()
         if span is not None:
             span.add("index_lookups")
-        return self._buckets.get(key, [])
+        return list(self._buckets.get(key, ()))
 
     def lookup_one(self, key: tuple[Any, ...]) -> int | None:
         """Return the single slot for *key*, or ``None`` when absent.
@@ -123,6 +158,17 @@ class HashIndex:
     def __len__(self) -> int:
         """The number of distinct keys."""
         return len(self._buckets)
+
+    def copy(self) -> "HashIndex":
+        """An independent index with the same definition and entries.
+
+        O(distinct keys) at C speed: the bucket tuples are shared, and
+        since :meth:`add`/:meth:`remove` rebind rather than mutate them,
+        later writes to either index never reach the other.
+        """
+        clone = HashIndex(self.columns, self._positions, unique=self.unique)
+        clone._buckets = self._buckets.copy()
+        return clone
 
     def clear(self) -> None:
         """Drop all entries (used when a table is truncated or rebuilt)."""

@@ -23,6 +23,13 @@ acting as a global override: columnar is the shipped default, and
 
 Deletions tombstone the row's slot rather than compacting, so slots held by
 indexes stay valid; freed slots are recycled by later insertions.
+
+:meth:`Table.copy` is structural: it slices the storage, the free list and
+the domain counts and shares the (immutable) index buckets, so a copy
+costs C-level work proportional to the table but no per-row Python work.
+Every table counts its mutations (:attr:`Table.mutations`) and can record
+the slots its mutations write (:meth:`Table.track_writes`); epoch
+publishing uses both to validate a copy by the slots it changed.
 """
 
 from __future__ import annotations
@@ -174,6 +181,13 @@ class RowStore:
     def append_batch(self, columns: Sequence[Sequence[Any]], n: int) -> None:
         self._slots.extend(zip(*columns))
 
+    def copy(self) -> "RowStore":
+        """An independent store with the same slots (rows are immutable
+        tuples, so the copy shares them)."""
+        clone = RowStore()
+        clone._slots = self._slots[:]
+        return clone
+
 
 class ColumnStore:
     """Column-major backing: one sequence per column plus a validity bitmap.
@@ -304,6 +318,19 @@ class ColumnStore:
                 col.extend(values)
         self._valid.extend(b"\x01" * n)
 
+    def copy(self) -> "ColumnStore":
+        """An independent store with the same slots, tombstones included.
+
+        Each column is sliced at C level, so a typed ``array`` column
+        stays a typed array of the same typecode and a list column stays
+        a list (sharing its immutable values).
+        """
+        clone = ColumnStore(self._arity)
+        clone._columns = [col[:] for col in self._columns]
+        clone._valid = self._valid[:]
+        clone._dead = self._dead
+        return clone
+
     def promote_columns(self) -> int:
         """Promote plain-list columns to typed arrays where possible.
 
@@ -376,6 +403,11 @@ class Table:
         self._indexes: dict[tuple[str, ...], HashIndex] = {}
         self._domains: dict[int, dict[Any, int]] = {}
         self._observers: list[Any] = []
+        #: Count of row mutations through this table's API (see
+        #: :attr:`mutations`).
+        self._mutations = 0
+        #: Slots written since :meth:`track_writes`, or ``None``.
+        self._written: set[int] | None = None
         self.insert_many(rows)
 
     # ------------------------------------------------------------------
@@ -426,6 +458,22 @@ class Table:
         charge access stats (bulk callers charge what they consume).
         """
         return self._store.enumerate_live()
+
+    @property
+    def mutations(self) -> int:
+        """How many row mutations this table has taken through its API.
+
+        Every insert, delete, in-place update, batch append, truncation
+        and shard drop adds to it; index and domain definitions do not.
+        Equal counts at two moments mean no row changed in between.
+        """
+        return self._mutations
+
+    def slot_row(self, slot: int) -> Row | None:
+        """The row stored at *slot*, or ``None`` for a tombstone or a slot
+        past the end of the storage.  Charges no access stats."""
+        store = self._store
+        return store.get(slot) if slot < store.size() else None
 
     def row_at(self, slot: int) -> Row:
         """Return the live row stored at *slot*."""
@@ -546,8 +594,12 @@ class Table:
         if n == 0:
             return 0
         if not (self._indexes or self._domains or self._observers or self._free_slots):
+            start = self._store.size()
             self._store.append_batch(columns, n)
             self._live_count += n
+            self._mutations += 1
+            if self._written is not None:
+                self._written.update(range(start, start + n))
         else:
             for row in zip(*columns):
                 self._store_row(row)
@@ -569,6 +621,9 @@ class Table:
                 value = stored[position]
                 counts[value] = counts.get(value, 0) + 1
         self._live_count += 1
+        self._mutations += 1
+        if self._written is not None:
+            self._written.add(slot)
         if self._observers:
             for observer in self._observers:
                 observer.row_inserted(stored)
@@ -596,6 +651,9 @@ class Table:
                 else:
                     counts[value] = remaining
         self._live_count -= 1
+        self._mutations += 1
+        if self._written is not None:
+            self._written.add(slot)
         if self._observers:
             for observer in self._observers:
                 observer.row_deleted(row)
@@ -638,6 +696,9 @@ class Table:
                         counts[old_value] = remaining
                     counts[new_value] = counts.get(new_value, 0) + 1
         self._store.set(slot, stored)
+        self._mutations += 1
+        if self._written is not None:
+            self._written.add(slot)
         if self._observers:
             for observer in self._observers:
                 observer.row_updated(old_row, stored)
@@ -683,6 +744,9 @@ class Table:
 
     def truncate(self) -> None:
         """Remove every row but keep schema, index, and domain definitions."""
+        if self._written is not None:
+            self._written.update(range(self._store.size()))
+        self._mutations += 1
         self._store.clear()
         self._free_slots.clear()
         self._live_count = 0
@@ -722,6 +786,30 @@ class Table:
     def observers(self) -> tuple[Any, ...]:
         """The attached mutation observers."""
         return tuple(self._observers)
+
+    # ------------------------------------------------------------------
+    # Write tracking
+    # ------------------------------------------------------------------
+
+    def track_writes(self) -> None:
+        """Start recording the slots later mutations write.
+
+        Inserts, deletes and in-place updates record their slot; a batch
+        append records the slots it filled; a truncation records every
+        slot the table had.  Recording restarts empty on each call and
+        stops with :meth:`stop_tracking_writes`.  Copies do not inherit it.
+        """
+        self._written = set()
+
+    def stop_tracking_writes(self) -> None:
+        """Stop recording written slots and drop the record."""
+        self._written = None
+
+    @property
+    def written_slots(self) -> set[int] | None:
+        """The slots written since :meth:`track_writes` (``None`` when not
+        tracking).  The live record — treat it as read-only."""
+        return self._written
 
     # ------------------------------------------------------------------
     # Domain tracking
@@ -767,8 +855,7 @@ class Table:
                 )
             return existing
         index = HashIndex(key, self.schema.positions(columns), unique=unique)
-        for slot, row in self._store.enumerate_live():
-            index.add(row, slot)
+        index.build(self._store.enumerate_live())
         self._indexes[key] = index
         return index
 
@@ -798,8 +885,7 @@ class Table:
                 unique=index.unique,
             )
             try:
-                for slot, row in self._store.enumerate_live():
-                    rebuilt.add(row, slot)
+                rebuilt.build(self._store.enumerate_live())
             except TableError:
                 return False
             live = {key: sorted(index._buckets[key]) for key in index.keys()}  # noqa: SLF001
@@ -813,16 +899,35 @@ class Table:
     # ------------------------------------------------------------------
 
     def copy(self, name: str | None = None) -> "Table":
-        """Return a deep copy (rows, index definitions, tracked domains).
+        """Return an independent copy: rows, indexes, tracked domains.
 
-        The copy keeps the source's storage mode (row or columnar).
+        The copy is structural.  The storage is sliced slot for slot
+        (tombstones and free slots included, typed-array columns keep
+        their typecode), each index is copied by
+        :meth:`HashIndex.copy`, and the domain counts are copied as
+        dicts, so no row is re-inserted.  The copy keeps the source's
+        class and storage mode, starts with no observers, no write
+        tracking and a zero mutation count, and writes to either table
+        never reach the other.  Access accounting charges a scan plus an
+        insert of every live row, as for the bulk load it stands for.
         """
-        clone = Table(name or self.name, self.schema, self.scan(),
-                      storage=self.storage)
-        for index in self._indexes.values():
-            clone.create_index(index.columns, unique=index.unique)
-        for position in self._domains:
-            clone.track_domain(self.schema.columns[position])
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        clone.name = name or self.name
+        clone._store = self._store.copy()
+        clone._free_slots = self._free_slots[:]
+        clone._indexes = {
+            key: index.copy() for key, index in self._indexes.items()
+        }
+        clone._domains = {
+            position: counts.copy()
+            for position, counts in self._domains.items()
+        }
+        clone._observers = []
+        clone._mutations = 0
+        clone._written = None
+        charge_access("rows_scanned", self._live_count)
+        charge_access("rows_inserted", self._live_count)
         return clone
 
     def column_values(self, column: str) -> list[Any]:

@@ -21,12 +21,14 @@ from typing import Any
 from ..errors import DefinitionError, PublishError
 from ..obs import metrics as obs_metrics
 from ..obs.audit import (
+    CERT_MASK,
     ViewCertificate,
     ViewFreshness,
     certificates_enabled,
-    rows_certificate,
+    row_digest,
 )
 from ..obs.lineage import ViewLineage
+from ..obs.tracing import current_span
 from ..relational.aggregation import group_by as physical_group_by
 from ..relational.expressions import col
 from ..relational.operators import select
@@ -106,6 +108,12 @@ class ViewVersion:
 class ShadowVersion:
     """A next-epoch build in progress: a private copy of the view's table.
 
+    The copy is structural (:meth:`~repro.relational.table.Table.copy`)
+    and records the slots the build writes, so
+    :meth:`MaterializedView.publish` can validate it by those slots
+    alone.  It also remembers the base epoch it was copied from: that
+    epoch's table, its mutation count and its certificate value.
+
     Duck-types the slice of :class:`MaterializedView` that the refresh
     machinery touches (``definition`` / ``table`` / ``group_key_index``),
     so :func:`repro.core.refresh.refresh` internals can maintain the
@@ -113,26 +121,65 @@ class ShadowVersion:
     is visible to readers until :meth:`MaterializedView.publish`.
     """
 
-    def __init__(
-        self,
-        definition: SummaryViewDefinition,
-        table: Table,
-        certificate: ViewCertificate | None,
-        base_epoch: int,
-    ):
+    def __init__(self, definition: SummaryViewDefinition, base: ViewVersion):
         self.definition = definition
-        self.table = table
-        self.certificate = certificate
+        #: The published table this shadow was copied from.
+        self.base_table = base.table
+        #: The base table's mutation count, read before the copy: any
+        #: in-place write to the base from then on makes the shadow
+        #: unpublishable.
+        self.base_mutations = base.table.mutations
+        self.table = base.table.copy()
+        self.table.track_writes()
+        #: The base certificate's value at copy time (``None`` when
+        #: certificates are disabled), and the shadow's own certificate
+        #: seeded from it.
+        self.base_certificate: int | None = None
+        self.certificate: ViewCertificate | None = None
+        if base.certificate is not None:
+            self.base_certificate = base.certificate.value
+            self.certificate = ViewCertificate(self.base_certificate)
+            self.table.attach_observer(self.certificate)
         #: Epoch of the published version this shadow was copied from.
-        self.base_epoch = base_epoch
+        self.base_epoch = base.epoch
         #: Epoch this shadow will become once published.
-        self.epoch = base_epoch + 1
+        self.epoch = base.epoch + 1
 
     def __repr__(self) -> str:
         return (
             f"ShadowVersion({self.definition.name!r}, "
             f"epoch {self.base_epoch} -> {self.epoch})"
         )
+
+    def written_slots_certificate(self) -> int:
+        """The certificate recomputed from storage over the slots the
+        build wrote.
+
+        Starts from the base certificate, subtracts the digest of the base
+        row at each written slot and adds the digest of the shadow row
+        there (a tombstone contributes nothing).  Charges the
+        ``publish_slots`` and ``publish_digests`` counters on the active
+        span: both scale with the written slots, never with the view size.
+        """
+        base = self.base_table
+        table = self.table
+        written = table.written_slots
+        total = self.base_certificate
+        digests = 0
+        for slot in written:
+            old = base.slot_row(slot)
+            if old is not None:
+                total -= row_digest(old)
+                digests += 1
+            new = table.slot_row(slot)
+            if new is not None:
+                total += row_digest(new)
+                digests += 1
+        span = current_span()
+        if span is not None:
+            span.add("publish_slots", len(written))
+            span.add("publish_digests", digests)
+        return total & CERT_MASK
 
     def group_key_index(self):
         if not self.definition.group_by:
@@ -233,28 +280,33 @@ class MaterializedView:
     def begin_version(self) -> ShadowVersion:
         """Copy the current version into a private next-epoch shadow.
 
-        The copy carries the rows and index definitions but not the
-        observers; the shadow gets its own certificate, seeded O(1) from
-        the current one's digest-sum and maintained incrementally while
-        the refresh mutates the shadow table.
+        The copy is structural — storage slices and shared index buckets,
+        no per-row work — and carries the rows, indexes and tracked
+        domains but not the observers.  It records the slots the build
+        writes.  The shadow gets its own certificate, seeded O(1) from the
+        current one's digest-sum and maintained incrementally while the
+        refresh mutates the shadow table.
         """
-        current = self._version
-        table = current.table.copy()
-        certificate: ViewCertificate | None = None
-        if current.certificate is not None:
-            certificate = ViewCertificate(current.certificate.value)
-            table.attach_observer(certificate)
-        return ShadowVersion(self.definition, table, certificate, current.epoch)
+        return ShadowVersion(self.definition, self._version)
 
     def publish(self, shadow: ShadowVersion, validate: bool = True) -> ViewVersion:
         """Atomically install *shadow* as the new current version.
 
         Refuses to publish a shadow built from a superseded epoch (a
-        racing maintainer won) and, when *validate* is set and
-        certificates are enabled, a shadow whose incrementally-maintained
-        certificate disagrees with a fresh digest of its rows (a torn
-        build).  On success the swap is a single reference assignment;
-        committed epochs are never unpublished.
+        racing maintainer won) or from a base epoch that was mutated in
+        place since :meth:`begin_version` (its writes would be lost).
+        When *validate* is set and certificates are enabled, it also
+        refuses a torn build: a shadow whose incrementally-maintained
+        certificate disagrees with one recomputed from storage over the
+        slots the build wrote — the base certificate, minus the digest
+        of the base row at each written slot, plus the digest of the
+        shadow row there.  That is O(|written slots|), and on every slot
+        the build wrote it is as strong as re-hashing the whole table;
+        the other slots are byte copies of the base epoch.  The full
+        O(|view|) re-hash is the audit's job
+        (:func:`repro.warehouse.health.audit_warehouse`).  On success the
+        swap is a single reference assignment; committed epochs are never
+        unpublished.
         """
         with self._publish_lock:
             current = self._version
@@ -263,8 +315,13 @@ class MaterializedView:
                     f"stale shadow for {self.name!r}: built from epoch "
                     f"{shadow.base_epoch}, current is {current.epoch}"
                 )
+            if shadow.base_table.mutations != shadow.base_mutations:
+                raise PublishError(
+                    f"base epoch {shadow.base_epoch} of {self.name!r} was "
+                    "mutated in place since its shadow was copied"
+                )
             if validate and shadow.certificate is not None:
-                expected = rows_certificate(shadow.table.rows())
+                expected = shadow.written_slots_certificate()
                 if shadow.certificate.value != expected:
                     raise PublishError(
                         f"certificate mismatch publishing epoch "
@@ -272,6 +329,7 @@ class MaterializedView:
                         f"{shadow.certificate.hex}, recomputed "
                         f"{ViewCertificate(expected).hex}"
                     )
+            shadow.table.stop_tracking_writes()
             version = ViewVersion(shadow.epoch, shadow.table, shadow.certificate)
             self._version = version
             with self._epoch_lock:

@@ -199,6 +199,17 @@ class ShardStore:
                 directory[slot] = None
         return live
 
+    def copy(self) -> "ShardStore":
+        """An independent store: each segment copied structurally, the
+        directory sliced."""
+        clone = ShardStore(self._arity, self._date_position, self._width,
+                           self._segment_kind)
+        clone._shards = {
+            key: segment.copy() for key, segment in self._shards.items()
+        }
+        clone._directory = self._directory[:]
+        return clone
+
     # -- slot contract -------------------------------------------------
 
     def size(self) -> int:
@@ -377,9 +388,12 @@ class ShardedTable(Table):
         per-row delete path) but never scans or tombstones live segments.
         """
         store = self.shard_store
-        if self._indexes or self._domains or self._observers:
+        written = self._written
+        if self._indexes or self._domains or self._observers or written is not None:
             victims = list(store.enumerate_shard(key))
             for slot, row in victims:
+                if written is not None:
+                    written.add(slot)
                 for index in self._indexes.values():
                     index.remove(row, slot)
                 if self._domains:
@@ -396,6 +410,7 @@ class ShardedTable(Table):
         else:
             dropped = store.drop_shard(key)
         self._live_count -= dropped
+        self._mutations += 1
         self._charge("rows_deleted", dropped)
         return dropped
 
