@@ -2,8 +2,8 @@
 
 Where spans (:mod:`repro.obs.tracing`) answer "where did *this* run's time
 go", metrics accumulate across runs: total rows scanned by propagate,
-refresh actions by kind, undo-log entries written, rollbacks taken, chunk
-sizes seen by the parallel aggregation engine, executor queue waits.
+refresh actions by kind, undo-log entries written, rollbacks taken, shards
+touched by partitioned maintenance.
 
 The registry is a plain process-wide object — no background threads, no
 export protocol — because the consumers are the ``repro trace`` CLI, the

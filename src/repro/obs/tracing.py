@@ -21,10 +21,8 @@ it on or keep it off:
   instrumentation cannot perturb a measurement no matter what the code
   under test requests.
 
-Spans nest per thread.  Work dispatched to executor threads does not
-inherit the dispatching thread's stack automatically; pass the dispatch
-site's ``current_span()`` as ``parent=`` to attach worker spans correctly
-(see :func:`repro.lattice.plan.propagate_lattice`).
+Spans nest per thread: a span opened on a thread with no open span of its
+own (a query-server worker, say) attaches to the recorder's root.
 """
 
 from __future__ import annotations
@@ -178,8 +176,7 @@ class TraceRecorder:
     Every recorder owns a synthetic root span named ``trace``.  Spans
     opened while the recorder is active attach to the opening thread's
     innermost span, or to the root when the thread has none (so spans from
-    executor worker threads are never lost, merely parented at the root
-    unless an explicit ``parent=`` is given).
+    executor worker threads are never lost, merely parented at the root).
     """
 
     def __init__(self) -> None:
@@ -200,12 +197,10 @@ class TraceRecorder:
         stack = getattr(self._local, "stack", None)
         return stack[-1] if stack else None
 
-    def span(self, name: str, parent: Span | None = None,
-             **tags: Any) -> _SpanContext:
-        """A context manager recording one span under *parent* (default:
-        the calling thread's innermost span, else the root)."""
-        if parent is None:
-            parent = self.current() or self.root
+    def span(self, name: str, **tags: Any) -> _SpanContext:
+        """A context manager recording one span under the calling thread's
+        innermost span, else the root."""
+        parent = self.current() or self.root
         child = Span(name, parent, tags)
         with self._lock:
             parent.children.append(child)
@@ -237,7 +232,7 @@ class NullRecorder:
     def __init__(self) -> None:
         self.root = Span("trace")
 
-    def span(self, name: str, parent: Span | None = None, **tags: Any):
+    def span(self, name: str, **tags: Any):
         return NOOP_SPAN
 
     def current(self) -> None:
@@ -282,7 +277,7 @@ def current_span() -> Span | None:
     return recorder.current() or recorder.root
 
 
-def span(name: str, parent: Span | None = None, **tags: Any):
+def span(name: str, **tags: Any):
     """Open a span on the active recorder; a shared no-op when tracing is
     off.  Usable as a context manager either way::
 
@@ -292,7 +287,7 @@ def span(name: str, parent: Span | None = None, **tags: Any):
     recorder = _active
     if recorder is None:
         return NOOP_SPAN
-    return recorder.span(name, parent=parent, **tags)
+    return recorder.span(name, **tags)
 
 
 def install_recorder(recorder: TraceRecorder | None) -> TraceRecorder | NullRecorder | None:

@@ -16,8 +16,8 @@ semantics of :mod:`repro.relational.types` null handling and of the five
 distributive reducers in :mod:`repro.relational.aggregation`.  The partial
 states it produces are exactly the states the interpreted path produces, so
 they can be merged with ``Reducer.merge`` and finalised with
-``Reducer.finalize`` interchangeably — chunked/parallel aggregation can mix
-compiled and interpreted workers freely.
+``Reducer.finalize`` interchangeably — per-shard summary deltas folded by
+compiled and interpreted code merge freely.
 
 Fallback contract: :func:`compile_aggregation` returns ``None`` whenever it
 sees an expression node or reducer it cannot prove it reproduces exactly

@@ -10,9 +10,9 @@ Accounting is off by default and costs one branch per *operation* (not per
 row) when disabled: ``Table.scan`` wraps its iterator only while a
 :func:`measuring` block is active.
 
-The collector is shared process-wide, and the engine's parallel paths
-(level-parallel lattice propagation, ``group_by_chunked`` on the thread
-backend) charge it from worker threads concurrently, so every charge goes
+The collector is shared process-wide, and the query server's worker pool
+(:mod:`repro.serve.server`) charges it from several threads concurrently
+while maintenance runs, so every charge goes
 through :meth:`AccessStats.add`, which serialises the read-modify-write
 under a lock.  Bare ``stats.rows_scanned += n`` from instrumented code
 would silently lose increments under thread interleaving — an undercount,

@@ -132,9 +132,7 @@ class BatchWindowClock:
         report = clock.report
 
     Extra keyword arguments become tags on the phase's span (visible in
-    traces, ignored otherwise), and ``parent=`` forwards an explicit parent
-    span — needed when phases run on executor worker threads, whose span
-    stacks are independent of the dispatching thread's.
+    traces, ignored otherwise).
 
     Thread-safe: concurrent phases from different threads record
     independently; each thread's nesting depth is tracked separately.
@@ -157,7 +155,6 @@ class BatchWindowClock:
 
     @contextmanager
     def _timed(self, name: str, offline: bool,
-               parent: "tracing.Span | None" = None,
                **tags: Any) -> Iterator[None]:
         with self._lock:
             if name in self._open_names:
@@ -170,7 +167,7 @@ class BatchWindowClock:
         stack.append(name)
         window = "offline" if offline else "online"
         started = time.perf_counter()
-        span_cm = tracing.span(name, parent=parent, window=window, **tags)
+        span_cm = tracing.span(name, window=window, **tags)
         span = span_cm.__enter__()
         try:
             yield
@@ -187,12 +184,10 @@ class BatchWindowClock:
                 self._open_names.discard(name)
                 self.report.phases.append(Phase(name, elapsed, offline, depth))
 
-    def online(self, name: str, parent: "tracing.Span | None" = None,
-               **tags: Any) -> Iterator[None]:
+    def online(self, name: str, **tags: Any) -> Iterator[None]:
         """Time an online phase (warehouse available to readers)."""
-        return self._timed(name, offline=False, parent=parent, **tags)
+        return self._timed(name, offline=False, **tags)
 
-    def offline(self, name: str, parent: "tracing.Span | None" = None,
-                **tags: Any) -> Iterator[None]:
+    def offline(self, name: str, **tags: Any) -> Iterator[None]:
         """Time an offline phase (inside the batch window)."""
-        return self._timed(name, offline=True, parent=parent, **tags)
+        return self._timed(name, offline=True, **tags)

@@ -56,7 +56,7 @@ class Warehouse:
 
         Re-stores the fact as per-date-range shards
         (:class:`~repro.warehouse.partition.PartitionedFactTable`); nightly
-        maintenance then takes the shard-parallel path whenever
+        maintenance then takes the per-shard propagate path whenever
         ``REPRO_PARTITION`` (or an explicit ``PropagateOptions.partition``)
         turns it on, and expiration drops whole expired segments.
         """

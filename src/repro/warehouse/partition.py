@@ -1,10 +1,8 @@
-"""Date-partitioned fact storage and shard-parallel maintenance.
+"""Date-partitioned fact storage and per-shard maintenance.
 
-The paper's nightly batch window is dominated by one serial pass over the
-fact table's deferred changes.  Date is this repo's natural partition key:
-it is the expiration key (old dates are dropped wholesale) and lineage
-stamps batches by ingest time.  This module shards ``pos`` into per-date-
-range segments and makes the three nightly phases embarrassingly parallel:
+Date is this repo's natural partition key: it is the expiration key (old
+dates are dropped wholesale) and lineage stamps batches by ingest time.
+This module shards ``pos`` into per-date-range segments:
 
 * :class:`ShardedTable` stores rows in per-date-range segments (columnar
   :class:`~repro.relational.table.ColumnStore` unless ``REPRO_COLUMNAR=0``)
@@ -15,26 +13,23 @@ range segments and makes the three nightly phases embarrassingly parallel:
   :class:`~repro.warehouse.fact.FactTable` (swapping ``fact.table``),
   routes change sets per shard, and turns expiration into whole-segment
   drops instead of row-at-a-time deletes.
-* :class:`ParallelMaintenance` computes per-shard summary deltas on a
-  ``concurrent.futures`` process pool (picklable shard work units; each
-  worker runs the full lattice propagation — including the fused
-  shared-scan kernels — over its shard's changes) and merges the partial
-  deltas with the distributive ``Reducer.merge`` machinery
-  (:func:`merge_summary_deltas`).  One merged Figure 7 refresh then runs
-  per view, so certificates, lineage manifests, and epoch publishes are
-  identical to the serial path.
+* :func:`propagate_partitioned` runs the full lattice propagation —
+  including the fused shared-scan kernels — over each shard's changes in
+  turn and merges the partial deltas with the distributive
+  ``Reducer.merge`` machinery (:func:`merge_summary_deltas`).  One merged
+  Figure 7 refresh then runs per view, so certificates, lineage manifests,
+  and epoch publishes are identical to the unpartitioned path.
 
 Correctness contract: a summary-delta row stores reducer *states* (every
 delta reducer — Sum for counts/sums, Min/Max for extrema — has an identity
-finalise), so per-shard delta rows merge exactly like
-``group_by_chunked``'s chunk partials.  Merged rows are emitted in the
-canonical nulls-first sorted order, so *any* partitioning of the same
-change set produces an identical delta table (the Hypothesis property in
-``tests/differential/test_partition_differential.py``).  The merged delta carries the full
-change set's lineage snapshot and is refreshed once per view — exactly one
-epoch manifest per view per run, as in the serial path (refreshing per
-shard would double-publish batch ids and raise
-:class:`~repro.errors.LineageError`).
+finalise), so per-shard delta rows are mergeable partial states.  Merged
+rows are emitted in the canonical nulls-first sorted order, so *any*
+partitioning of the same change set produces an identical delta table (the
+Hypothesis property in ``tests/differential/test_partition_differential.py``).
+The merged delta carries the full change set's lineage snapshot and is
+refreshed once per view — exactly one epoch manifest per view per run, as
+in the unpartitioned path (refreshing per shard would double-publish batch
+ids and raise :class:`~repro.errors.LineageError`).
 
 The whole path sits behind the ``REPRO_PARTITION`` kill-switch (default
 off): maintenance only takes it when the switch (or the explicit
@@ -44,11 +39,8 @@ partitioned via :func:`partition_fact`.
 
 from __future__ import annotations
 
-import dataclasses
 import os
-import pickle
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Sequence, TYPE_CHECKING
 
@@ -66,7 +58,6 @@ from ..relational.table import (
     charge_access,
     resolve_storage,
 )
-from ..relational.stats import ACCESS_FIELDS, measuring
 from .changes import ChangeSet
 from .fact import FactTable
 
@@ -75,7 +66,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..warehouse.batch import BatchWindowClock
 
 __all__ = [
-    "ParallelMaintenance",
     "PartitionedFactTable",
     "ShardChanges",
     "ShardedTable",
@@ -469,9 +459,9 @@ class PartitionedFactTable:
         self.date_column = date_column
         self.width = width
         self._date_position = sharded.schema.position(date_column)
-        #: Filled by :class:`ParallelMaintenance` after each run; benches
-        #: and tests read it for per-shard accounting.
-        self.last_run: PartitionRunInfo | None = None
+        #: Shards touched by the last :func:`propagate_partitioned` run
+        #: (``None`` before the first); ``repro maintain`` reports it.
+        self.last_shard_count: int | None = None
 
     # -- introspection -------------------------------------------------
 
@@ -670,10 +660,10 @@ def merge_summary_deltas(
     Each input is one shard's delta table rows (any order of shards).
     Because every delta reducer has an identity finalise, stored delta
     values *are* mergeable partial states; per-group states combine with
-    the same ``Reducer.merge`` the chunked aggregation uses, so the merged
-    delta is equivalent to the serial single-pass delta.  Output rows are
-    emitted in canonical nulls-first sorted order, making the merged table
-    identical for any re-partitioning of the same change set.
+    each reducer's distributive ``Reducer.merge``, so the merged delta is
+    equivalent to the single-pass delta over the whole change set.  Output
+    rows are emitted in canonical nulls-first sorted order, making the
+    merged table identical for any re-partitioning of the same change set.
     """
     specs = _delta_specs(definition, policy)
     reducers = [reducer for _name, _expr, reducer in specs]
@@ -701,234 +691,18 @@ def merge_summary_deltas(
 
 
 # ----------------------------------------------------------------------
-# Shard-parallel propagation
+# Per-shard propagation
 # ----------------------------------------------------------------------
 
-def _shard_task(payload: tuple) -> tuple[dict[str, list[Row]], dict[str, int]]:
-    """Compute one shard's deltas for every lattice node (picklable unit).
-
-    Runs in a pool worker (or inline on a single-worker fallback): rebuild
-    the shard's change set and an identical lattice from the pruned
-    definitions, then run the standard lattice propagation — the fused
-    shared-scan sibling kernels recompile per process, so the shared-scan
-    and shard-parallel speedups stack.  Returns each node's delta rows plus
-    the access counters the shard's propagation charged.
-    """
-    from ..lattice.plan import propagate_lattice
-    from ..lattice.vlattice import ViewLattice
-
-    (definitions, size_hints, base_name, columns,
-     ins_rows, del_rows, options) = payload
-    changes = ChangeSet(base_name, Schema(columns))
-    with changes.batch():
-        if ins_rows:
-            changes.insert_many(ins_rows)
-        if del_rows:
-            changes.delete_many(del_rows)
-    lattice = ViewLattice.build(list(definitions), size_hints=dict(size_hints))
-    with measuring() as access:
-        before = access.snapshot()
-        deltas = propagate_lattice(lattice, changes, options)
-        used = access.since(before)
-    return (
-        {name: delta.table.rows() for name, delta in deltas.items()},
-        {field: getattr(used, field) for field in ACCESS_FIELDS},
-    )
-
-
-@dataclass
-class ShardRunStats:
-    """Per-shard accounting from one parallel propagation."""
-
-    key: Any
-    change_rows: int
-    delta_rows: int
-    access: dict[str, int]
-
-    @property
-    def access_units(self) -> int:
-        return sum(self.access.values())
-
-
-@dataclass
-class PartitionRunInfo:
-    """What one shard-parallel propagation did (bench/test introspection)."""
-
-    shards: list[ShardRunStats]
-    workers: int
-    pool: bool
-
-    @property
-    def shard_count(self) -> int:
-        return len(self.shards)
-
-    @property
-    def change_rows(self) -> int:
-        return sum(shard.change_rows for shard in self.shards)
-
-
-def effective_shard_workers(
-    options: PropagateOptions, n_shards: int
-) -> tuple[int, bool]:
-    """Worker count for the shard pool, and whether to fall back inline.
-
-    Mirrors :func:`~repro.lattice.plan.effective_level_workers`: with no
-    explicit ``shard_workers`` the pool is capped at the CPU count, and a
-    single effective worker means the pool would only add fork/pickle
-    overhead — the inline walk computes identical deltas through the same
-    merge path.
-    """
-    requested = options.shard_workers or os.cpu_count() or 1
-    workers = max(1, min(requested, n_shards))
-    return workers, workers <= 1
-
-
-class ParallelMaintenance:
-    """Shard-parallel propagate driver for one partitioned fact table.
-
-    ``propagate(lattice, changes, ...)`` routes the change set per shard,
-    computes every shard's summary deltas on a process pool (inline when
-    only one worker is effective or the work units fail to pickle), merges
-    the per-shard deltas with :func:`merge_summary_deltas`, and returns one
-    delta per lattice node — ready for the standard single refresh per
-    view.  Per-shard access counters are charged back to the caller's
-    collector under ``shard:<key>`` spans, so span subtotals still equal
-    the :class:`~repro.relational.stats.AccessStats` totals.
-    """
-
-    def __init__(
-        self,
-        partitioned: PartitionedFactTable,
-        options: PropagateOptions = PropagateOptions(),
-    ) -> None:
-        self.partitioned = partitioned
-        self.options = options
-
-    def _worker_options(self) -> PropagateOptions:
-        """Options for in-worker propagation: no nested shard fan-out, no
-        nested chunk pools; the fused shared-scan engine stays on."""
-        return dataclasses.replace(
-            self.options,
-            partition=False,
-            parallel=False,
-            level_parallel=False,
-            shard_workers=1,
-        )
-
-    def _payloads(
-        self,
-        lattice: "ViewLattice",
-        changes: ChangeSet,
-        shards: Sequence[ShardChanges],
-    ) -> list[tuple]:
-        definitions = [lattice.node(name).definition for name in lattice.order]
-        pruned = _prune_definitions(definitions)
-        size_hints = {
-            name: float(count)
-            for name, count in _lattice_size_hints(lattice).items()
-        }
-        columns = tuple(changes.schema.columns)
-        options = self._worker_options()
-        return [
-            (
-                tuple(pruned),
-                tuple(size_hints.items()),
-                changes.base_name,
-                columns,
-                shard.insertions,
-                shard.deletions,
-                options,
-            )
-            for shard in shards
-        ]
-
-    def propagate(
-        self,
-        lattice: "ViewLattice",
-        changes: ChangeSet,
-        clock: "BatchWindowClock | None" = None,
-    ) -> dict[str, SummaryDelta]:
-        from ..warehouse.batch import BatchWindowClock
-
-        clock = clock or BatchWindowClock()
-        shards = self.partitioned.route_changes(changes)
-        if not shards:
-            from ..lattice.plan import propagate_lattice
-
-            return propagate_lattice(lattice, changes, self.options, clock)
-        workers, inline = effective_shard_workers(self.options, len(shards))
-        payloads = self._payloads(lattice, changes, shards)
-        if not inline and not _picklable(payloads[0]):
-            inline = True
-        with tracing.span(
-            "propagate", views=len(lattice.order), partition=True,
-            shards=len(shards), workers=1 if inline else workers,
-        ) as span:
-            if inline:
-                span.set_tag("partition_pool", "inline")
-                with clock.online("propagate-shards", shards=len(shards)):
-                    results = [_shard_task(payload) for payload in payloads]
-            else:
-                span.set_tag("partition_pool", "process")
-                with clock.online("propagate-shards", shards=len(shards)):
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        results = list(pool.map(_shard_task, payloads))
-
-            info = PartitionRunInfo(shards=[], workers=workers, pool=not inline)
-            per_shard_rows: list[dict[str, list[Row]]] = []
-            for shard, (delta_rows, access) in zip(shards, results):
-                per_shard_rows.append(delta_rows)
-                with tracing.span(
-                    f"shard:{shard.key}", change_rows=shard.change_rows,
-                ) as shard_span:
-                    if not inline:
-                        # Pool workers charged their own (per-process)
-                        # collectors; re-charge here so the parent's ledger
-                        # and span totals see the shard's work.
-                        for field in ACCESS_FIELDS:
-                            amount = access.get(field, 0)
-                            if amount:
-                                charge_access(field, amount)
-                                shard_span.add(field, amount)
-                info.shards.append(ShardRunStats(
-                    key=shard.key,
-                    change_rows=shard.change_rows,
-                    delta_rows=sum(len(rows) for rows in delta_rows.values()),
-                    access=dict(access),
-                ))
-            if tracing.enabled():
-                registry = obs_metrics.registry()
-                registry.counter("partition.runs").inc()
-                registry.counter("partition.shards").inc(len(shards))
-                for shard in shards:
-                    registry.histogram("partition.shard_rows").observe(
-                        shard.change_rows
-                    )
-
-            lineage = changes.lineage.snapshot()
-            deltas: dict[str, SummaryDelta] = {}
-            merged_rows = 0
-            for name in lattice.order:
-                definition = lattice.node(name).definition
-                with clock.online(
-                    f"propagate:{name}", node=name, kind="merge",
-                ), tracing.span("node:" + name) as node_span:
-                    delta = merge_summary_deltas(
-                        definition,
-                        self.options.policy,
-                        [rows.get(name, ()) for rows in per_shard_rows],
-                        lineage=lineage,
-                    )
-                    node_span.add("delta_rows", len(delta.table))
-                    deltas[name] = delta
-                    merged_rows += len(delta.table)
-            if tracing.enabled():
-                obs_metrics.registry().counter(
-                    "partition.merged_delta_rows"
-                ).inc(merged_rows)
-            span.add("merged_delta_rows", merged_rows)
-        self.partitioned.last_run = info
-        return deltas
+def _shard_change_set(changes: ChangeSet, shard: ShardChanges) -> ChangeSet:
+    """One shard's slice of *changes* as a standalone change set."""
+    sliced = ChangeSet(changes.base_name, changes.schema)
+    with sliced.batch():
+        if shard.insertions:
+            sliced.insert_many(shard.insertions)
+        if shard.deletions:
+            sliced.delete_many(shard.deletions)
+    return sliced
 
 
 def propagate_partitioned(
@@ -938,47 +712,66 @@ def propagate_partitioned(
     options: PropagateOptions = PropagateOptions(),
     clock: "BatchWindowClock | None" = None,
 ) -> dict[str, SummaryDelta]:
-    """Shard-parallel twin of :func:`~repro.lattice.plan.propagate_lattice`."""
-    return ParallelMaintenance(partitioned, options).propagate(
-        lattice, changes, clock
-    )
+    """Per-shard twin of :func:`~repro.lattice.plan.propagate_lattice`.
 
-
-def _prune_definitions(definitions: Sequence) -> list:
-    """Re-root definitions on data-free fact tables for pickling.
-
-    Propagation never reads ``fact.table`` (only the change set and the
-    dimension tables), so shard work units ship the fact *structure* —
-    name, columns, foreign keys with their full dimension tables — without
-    the sharded fact data.  Definitions sharing a fact keep sharing the
-    pruned one, preserving the identity checks downstream.
+    Routes the change set per shard, runs the standard lattice propagation
+    over each shard's slice on the caller's *lattice*, and merges the
+    per-shard deltas node by node with :func:`merge_summary_deltas` — one
+    delta per lattice node, ready for the standard single refresh per view.
+    Each shard's propagation runs under a ``shard:<key>`` span and charges
+    the active access collector directly, so span subtotals still equal
+    the :class:`~repro.relational.stats.AccessStats` totals.
     """
-    slim_facts: dict[int, FactTable] = {}
-    pruned = []
-    for definition in definitions:
-        fact = definition.fact
-        slim = slim_facts.get(id(fact))
-        if slim is None:
-            slim = FactTable(
-                fact.name, list(fact.columns), list(fact.foreign_keys)
-            )
-            slim_facts[id(fact)] = slim
-        pruned.append(dataclasses.replace(definition, fact=slim))
-    return pruned
+    from ..lattice.plan import propagate_lattice
+    from ..warehouse.batch import BatchWindowClock
 
+    clock = clock or BatchWindowClock()
+    shards = partitioned.route_changes(changes)
+    partitioned.last_shard_count = len(shards)
+    if not shards:
+        return propagate_lattice(lattice, changes, options, clock)
+    with tracing.span(
+        "propagate", views=len(lattice.order), partition=True,
+        shards=len(shards),
+    ) as span:
+        per_shard: list[dict[str, SummaryDelta]] = []
+        with clock.online("propagate-shards", shards=len(shards)):
+            for shard in shards:
+                with tracing.span(
+                    f"shard:{shard.key}", change_rows=shard.change_rows,
+                ):
+                    per_shard.append(propagate_lattice(
+                        lattice, _shard_change_set(changes, shard), options,
+                    ))
+        if tracing.enabled():
+            registry = obs_metrics.registry()
+            registry.counter("partition.runs").inc()
+            registry.counter("partition.shards").inc(len(shards))
+            for shard in shards:
+                registry.histogram("partition.shard_rows").observe(
+                    shard.change_rows
+                )
 
-def _lattice_size_hints(lattice: "ViewLattice") -> dict[str, int]:
-    """Size hints that rebuild an identical lattice in a worker process."""
-    hints: dict[str, int] = {}
-    for name in lattice.order:
-        node = lattice.node(name)
-        hints[name] = int(10 ** len(node.definition.group_by))
-    return hints
-
-
-def _picklable(payload: tuple) -> bool:
-    try:
-        pickle.dumps(payload)
-    except Exception:
-        return False
-    return True
+        lineage = changes.lineage.snapshot()
+        deltas: dict[str, SummaryDelta] = {}
+        merged_rows = 0
+        for name in lattice.order:
+            definition = lattice.node(name).definition
+            with clock.online(
+                f"propagate:{name}", node=name, kind="merge",
+            ), tracing.span("node:" + name) as node_span:
+                delta = merge_summary_deltas(
+                    definition,
+                    options.policy,
+                    [deltas_of[name].table.rows() for deltas_of in per_shard],
+                    lineage=lineage,
+                )
+                node_span.add("delta_rows", len(delta.table))
+                deltas[name] = delta
+                merged_rows += len(delta.table)
+        if tracing.enabled():
+            obs_metrics.registry().counter(
+                "partition.merged_delta_rows"
+            ).inc(merged_rows)
+        span.add("merged_delta_rows", merged_rows)
+    return deltas

@@ -2,10 +2,11 @@
 
 The differential suite runs the *same* randomly generated star-schema
 change set through every execution engine the repo has — interpreted
-``group_by``, the codegen fast path, the chunked-parallel engine, and the
-SQLite backend — and demands identical results.  Hypothesis shrinks any
-disagreement to a minimal change set; :func:`describe_changes` renders that
-change set so the failure message is directly re-runnable by hand.
+``group_by``, the codegen fast path, the shared-scan and columnar engines,
+the per-shard path, and the SQLite backend — and demands identical
+results.  Hypothesis shrinks any disagreement to a minimal change set;
+:func:`describe_changes` renders that change set so the failure message
+is directly re-runnable by hand.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Differential testing of the date-partitioned warehouse engine.
 
 Hypothesis generates random star-schema change sets and drives them
-through the four-view Table 1 lattice three ways: the serial maintenance
-path, the shard-parallel path (per-shard summary deltas computed on a
-real process pool and merged with ``Reducer.merge``), and the SQLite
-backend executing the paper's literal SQL.  All three must land identical
-summary tables — and the sharded run must reproduce the serial run's
-certificates and epoch manifests batch for batch.
+through the four-view Table 1 lattice three ways: the unpartitioned
+maintenance path, the per-shard path (summary deltas computed shard by
+shard and merged with ``Reducer.merge``), and the SQLite backend executing
+the paper's literal SQL.  All three must land identical summary tables —
+and the sharded run must reproduce the unpartitioned run's certificates
+and epoch manifests batch for batch.
 
 A second property pins the merge algebra itself: *any* re-partitioning of
 the same change set (shard widths 1, 2, 3, 5 over five dates — from
@@ -64,9 +64,9 @@ def manifest_fingerprints(views):
 
 
 def maintained_state(base, to_insert, to_delete, policy, *, width=None):
-    """Run full lattice maintenance (serial, or shard-parallel on a
-    two-worker process pool when *width* is given) and return the final
-    tables, certificates, and manifest fingerprints."""
+    """Run full lattice maintenance (unpartitioned, or per shard over a
+    date-partitioned fact table when *width* is given) and return the
+    final tables, certificates, and manifest fingerprints."""
     with fresh_lineage_clock():
         pos = build_fact(base)
         views = [MaterializedView.build(d) for d in lattice_definitions(pos)]
@@ -74,9 +74,7 @@ def maintained_state(base, to_insert, to_delete, policy, *, width=None):
         options = PropagateOptions(policy=policy)
         if width is not None:
             partition_fact(pos, width=width)
-            options = PropagateOptions(
-                policy=policy, partition=True, shard_workers=2
-            )
+            options = PropagateOptions(policy=policy, partition=True)
         maintain_lattice(views, changes, options=options)
         tables = {
             view.definition.name: view.table.sorted_rows() for view in views
@@ -96,7 +94,7 @@ def maintained_state(base, to_insert, to_delete, policy, *, width=None):
 def test_partitioned_maintenance_matches_serial_and_sqlite(
     policy, base, inserted, picks
 ):
-    """Shard-parallel maintenance ≡ serial maintenance ≡ SQLite, with
+    """Per-shard maintenance ≡ unpartitioned maintenance ≡ SQLite, with
     identical certificates and epoch manifests, across both MIN/MAX
     policies."""
     to_insert, to_delete = split_changes(base, inserted, picks)
@@ -110,7 +108,7 @@ def test_partitioned_maintenance_matches_serial_and_sqlite(
 
     for name, reference in serial_tables.items():
         assert shard_tables[name] == reference, differ_message(
-            f"serial and shard-parallel tables for {name!r}",
+            f"serial and per-shard tables for {name!r}",
             base, to_insert, to_delete, reference, shard_tables[name],
         )
     assert shard_certs == serial_certs
@@ -120,7 +118,7 @@ def test_partitioned_maintenance_matches_serial_and_sqlite(
         assert rows_equivalent(
             expected, view.table.sorted_rows()
         ), differ_message(
-            f"shard-parallel maintenance and recomputation for "
+            f"per-shard maintenance and recomputation for "
             f"{view.definition.name!r}",
             base, to_insert, to_delete, expected, view.table.sorted_rows(),
         )
@@ -135,16 +133,15 @@ def test_partitioned_maintenance_matches_serial_and_sqlite(
     for name, rows in shard_tables.items():
         sqlite_rows = [tuple(row) for row in warehouse.sorted_rows(name)]
         assert rows_equivalent(sqlite_rows, rows), differ_message(
-            f"sqlite and shard-parallel tables for {name!r}",
+            f"sqlite and per-shard tables for {name!r}",
             base, to_insert, to_delete, sqlite_rows, rows,
         )
 
 
-def test_process_pool_path_matches_serial_deterministically():
-    """A fixed multi-date change set routes to several shards, so the
-    driver provably takes the real process-pool path (not the inline
-    fallback) and still reproduces the serial tables, certificates, and
-    manifests."""
+def test_multi_shard_path_matches_serial_deterministically():
+    """A fixed multi-date change set routes to several shards, and the
+    per-shard path still reproduces the unpartitioned tables,
+    certificates, and manifests."""
     base = [(s, i, d, s + d, 1.0) for s in (1, 2) for i in (1, 2)
             for d in (1, 2, 3, 4, 5)]
     to_insert = [(2, 1, d, 9, 1.0) for d in (1, 2, 3, 4, 5)]
@@ -160,14 +157,7 @@ def test_process_pool_path_matches_serial_deterministically():
     assert sharded[1] == serial[1]
     assert sharded[2] == serial[2]
     partitioned = sharded[3][0].definition.fact.partition
-    info = partitioned.last_run
-    assert info is not None
-    assert info.pool, "expected the real process pool, got the inline path"
-    assert info.workers == 2
-    assert info.shard_count >= 2
-    assert sum(s.change_rows for s in info.shards) == (
-        len(to_insert) + len(to_delete)
-    )
+    assert partitioned.last_shard_count >= 2
 
 
 @pytest.mark.parametrize("policy", list(MinMaxPolicy))

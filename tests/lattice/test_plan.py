@@ -7,7 +7,9 @@ from repro.errors import MaintenanceError
 from repro.lattice import (
     build_lattice_for_views,
     maintain_lattice,
+    propagate_lattice,
     propagate_without_lattice,
+    propagation_levels,
     rematerialize_with_lattice,
 )
 from repro.views import MaterializedView, compute_rows
@@ -99,6 +101,62 @@ class TestMaintainLattice:
         assert set(result.stats) == {view.name for view in views}
         assert result.propagate_seconds > 0
         assert result.refresh_seconds > 0
+
+
+class TestPropagationLevels:
+    def test_figure9_retail_lattice_levels(self):
+        _data, views = fresh_setup(seed=23)
+        lattice = build_lattice_for_views(views)
+        levels = propagation_levels(lattice)
+        # Level 0 holds exactly the roots; every other node sits one level
+        # below its chosen parent, so siblings share a level.
+        assert [name for name in levels[0]] == [
+            node.name for node in lattice.roots()
+        ]
+        flat = [name for level in levels for name in level]
+        assert sorted(flat) == sorted(lattice.order)
+        depth = {
+            name: index
+            for index, level in enumerate(levels)
+            for name in level
+        }
+        for name in lattice.order:
+            node = lattice.node(name)
+            if not node.is_root:
+                assert depth[name] == depth[node.parent] + 1
+
+    def test_sibling_views_share_a_level(self):
+        """The retail lattice's sCD and SiC views both derive from SID."""
+        _data, views = fresh_setup(seed=23)
+        lattice = build_lattice_for_views(views)
+        levels = propagation_levels(lattice)
+        parents = {
+            name: lattice.node(name).parent for name in lattice.order
+        }
+        siblings = [
+            name for name in lattice.order
+            if parents[name] == "SID_sales"
+        ]
+        if len(siblings) >= 2:  # guard against future lattice re-planning
+            (level_of,) = [
+                index for index, level in enumerate(levels)
+                if siblings[0] in level
+            ]
+            assert all(name in levels[level_of] for name in siblings)
+
+
+class TestPropagateLattice:
+    def test_clock_records_every_node_online(self):
+        data, views = fresh_setup(seed=31, pos_rows=800)
+        changes = update_generating_changes(data.pos, data.config, 80, data.rng)
+        lattice = build_lattice_for_views(views)
+        clock = BatchWindowClock()
+        propagate_lattice(lattice, changes, PropagateOptions(), clock)
+        recorded = sorted(phase.name for phase in clock.report.phases)
+        assert recorded == sorted(
+            f"propagate:{name}" for name in lattice.order
+        )
+        assert all(not phase.offline for phase in clock.report.phases)
 
 
 class TestPropagateWithoutLattice:

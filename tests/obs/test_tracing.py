@@ -88,20 +88,6 @@ class TestRecorder:
             "main-span", "from-worker",
         }
 
-    def test_explicit_parent_overrides_stack(self):
-        recorder = TraceRecorder()
-        with recorder.span("anchor") as anchor:
-            pass
-
-        def worker():
-            with recorder.span("child", parent=anchor):
-                pass
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join()
-        assert [c.name for c in anchor.children] == ["child"]
-
     def test_finish_closes_root(self):
         recorder = TraceRecorder()
         root = recorder.finish()

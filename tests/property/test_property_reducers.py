@@ -82,7 +82,7 @@ def test_sum_of_signed_pairs_cancels(data):
 @given(data=values, split=splits)
 def test_merge_is_the_distributivity_witness(data, split):
     """reducer.merge(fold(left), fold(right)) == fold(whole), for every
-    reducer — the property group_by_chunked relies on."""
+    reducer — the property merge_summary_deltas relies on."""
     cut = min(split, len(data))
     left, right = data[:cut], data[cut:]
     for name, reducer_type, _combiner in REDUCERS:

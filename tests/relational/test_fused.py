@@ -141,7 +141,7 @@ class TestKernel:
 
 
 class TestBatchFolds:
-    """The batch (columnar) and chunked folds of one fused scan must equal
+    """The batch (columnar) fold of one fused scan must equal
     the row fold — same group dicts, same probe counts, same finalized
     tables in either storage mode."""
 
@@ -163,44 +163,6 @@ class TestBatchFolds:
         )
         assert col_groups == row_groups
         assert col_probes == row_probes
-
-    @pytest.mark.parametrize("chunks", [1, 2, 3, 7])
-    def test_fold_chunked_equals_fold(self, fused_inputs, chunks):
-        scan, parent_delta, _edges = self.scan_and_delta(fused_inputs)
-        rows = parent_delta.table.rows()
-        serial_groups, serial_probes = scan.fold(rows)
-        chunked_groups, chunked_probes = scan.fold_chunked(
-            rows, chunks, backend="thread", max_workers=2
-        )
-        assert chunked_groups == serial_groups
-        assert chunked_probes == serial_probes
-
-    def test_fold_chunked_process_backend_equals_fold(self, fused_inputs):
-        """The process backend re-prepares the scan inside each worker and
-        still merges to the serial fold, byte for byte."""
-        scan, parent_delta, _edges = self.scan_and_delta(fused_inputs)
-        assert scan.parent_columns is not None
-        rows = parent_delta.table.rows()
-        serial_groups, serial_probes = scan.fold(rows)
-        chunked_groups, chunked_probes = scan.fold_chunked(
-            rows, 2, backend="process", max_workers=2
-        )
-        assert chunked_groups == serial_groups
-        assert chunked_probes == serial_probes
-
-    def test_fold_chunked_process_degrades_without_columns(self, fused_inputs):
-        """A hand-built scan with no ``parent_columns`` cannot ship itself
-        to a worker process; it silently degrades to threads and still
-        matches the serial fold."""
-        scan, parent_delta, _edges = self.scan_and_delta(fused_inputs)
-        bare = dataclasses.replace(scan, parent_columns=None)
-        rows = parent_delta.table.rows()
-        serial_groups, serial_probes = scan.fold(rows)
-        degraded_groups, degraded_probes = bare.fold_chunked(
-            rows, 3, backend="process", max_workers=2
-        )
-        assert degraded_groups == serial_groups
-        assert degraded_probes == serial_probes
 
     def test_finalize_inherits_requested_storage(self, fused_inputs):
         scan, parent_delta, edges = self.scan_and_delta(fused_inputs)

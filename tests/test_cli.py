@@ -80,7 +80,7 @@ class TestCommands:
         target = tmp_path / "trace.jsonl"
         code = main([
             "trace", "--pos-rows", "1000", "--changes", "100",
-            "--parallel", "--jsonl", str(target),
+            "--jsonl", str(target),
         ])
         assert code == 0
         records = [
@@ -113,18 +113,6 @@ class TestExplain:
         assert "without lattice" in out
         assert "§2.2" in out
         assert "schedule: serial topological walk" in out
-
-    def test_parallel_schedule_line_reports_fallback_on_one_cpu(
-        self, capsys, monkeypatch
-    ):
-        import repro.lattice.plan as plan_module
-
-        monkeypatch.setattr(plan_module.os, "cpu_count", lambda: 1)
-        code = main([
-            "explain", "--pos-rows", "1000", "--changes", "100", "--parallel",
-        ])
-        assert code == 0
-        assert "automatic fallback" in capsys.readouterr().out
 
     def test_execute_prints_predicted_vs_actual(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)

@@ -233,22 +233,3 @@ class TestSpanBackedClock:
         assert clock.report.online_seconds > 0
         assert clock.report.offline_seconds > 0
 
-    def test_explicit_parent_attaches_worker_phase(self):
-        import threading
-
-        clock = BatchWindowClock()
-        with trace() as recorder:
-            with clock.online("level") as _:
-                anchor = recorder.current()
-
-                def worker():
-                    with clock.online("node", parent=anchor):
-                        pass
-
-                thread = threading.Thread(target=worker)
-                thread.start()
-                thread.join()
-        level = next(
-            span for span in recorder.root.walk() if span.name == "level"
-        )
-        assert [child.name for child in level.children] == ["node"]

@@ -1,10 +1,9 @@
 """Unit tests for date-partitioned fact storage (`repro.warehouse.partition`).
 
-The differential suite proves shard-parallel maintenance reproduces the
-serial path end to end; these tests pin the component contracts: shard
-routing, the slot-directory storage, whole-segment expiration, change
-routing exactness, the `Reducer.merge` delta algebra, and the worker-count
-fallback rules.
+The differential suite proves per-shard maintenance reproduces the
+unpartitioned path end to end; these tests pin the component contracts:
+shard routing, the slot-directory storage, whole-segment expiration, change
+routing exactness, and the `Reducer.merge` delta algebra.
 """
 
 import pytest
@@ -15,7 +14,6 @@ from repro.warehouse import ChangeSet
 from repro.warehouse.partition import (
     PartitionedFactTable,
     ShardedTable,
-    effective_shard_workers,
     merge_summary_deltas,
     partition_enabled,
     partition_fact,
@@ -287,18 +285,3 @@ class TestMergeSummaryDeltas:
         assert together.table.rows() == split.table.rows()
         # Canonical nulls-first order, independent of input order.
         assert together.table.rows()[0] == (1, 10, None, 1, 1)
-
-
-class TestEffectiveShardWorkers:
-    def test_explicit_workers_capped_by_shards(self):
-        options = PropagateOptions(shard_workers=4)
-        assert effective_shard_workers(options, 2) == (2, False)
-        assert effective_shard_workers(options, 8) == (4, False)
-
-    def test_single_shard_falls_back_inline(self):
-        options = PropagateOptions(shard_workers=4)
-        assert effective_shard_workers(options, 1) == (1, True)
-
-    def test_single_worker_falls_back_inline(self):
-        options = PropagateOptions(shard_workers=1)
-        assert effective_shard_workers(options, 8) == (1, True)
