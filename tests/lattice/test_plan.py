@@ -16,6 +16,7 @@ from repro.views import MaterializedView, compute_rows
 from repro.warehouse import BatchWindowClock
 from repro.workload import (
     RetailConfig,
+    expiration_changes,
     generate_retail,
     insertion_generating_changes,
     retail_view_definitions,
@@ -32,6 +33,19 @@ def fresh_setup(seed=31, pos_rows=2000):
         for definition in retail_view_definitions(data.pos)
     ]
     return data, views
+
+
+WORKLOADS = ["update", "insertion", "expiration"]
+
+
+def workload_changes(data, workload):
+    if workload == "update":
+        return update_generating_changes(data.pos, data.config, 250, data.rng)
+    if workload == "insertion":
+        return insertion_generating_changes(
+            data.pos, data.config, 250, data.rng
+        )
+    return expiration_changes(data.pos, n_oldest_dates=2)
 
 
 class TestMaintainLattice:
@@ -157,6 +171,54 @@ class TestPropagateLattice:
             f"propagate:{name}" for name in lattice.order
         )
         assert all(not phase.offline for phase in clock.report.phases)
+
+
+    @pytest.mark.parametrize("shared_scan", [False, True])
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_deltas_match_direct_propagation(self, workload, shared_scan):
+        """Deriving each child's delta from its D-lattice parent's delta —
+        through the fused shared scan or one pipeline per child — equals
+        computing every view's delta straight from the change set."""
+        data, views = fresh_setup(seed=23)
+        changes = workload_changes(data, workload)
+        lattice = build_lattice_for_views(views)
+        options = PropagateOptions(shared_scan=shared_scan)
+        walked = propagate_lattice(lattice, changes, options)
+        direct = propagate_without_lattice(
+            [view.definition for view in views], changes, options
+        )
+        assert set(direct) <= set(walked)
+        for name, delta in direct.items():
+            assert (
+                walked[name].table.sorted_rows() == delta.table.sorted_rows()
+            ), name
+
+    @pytest.mark.parametrize("shared_scan", [False, True])
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_split_policy_maintains_like_direct_propagation(
+        self, workload, shared_scan
+    ):
+        """Under the SPLIT policy a derived child's insert/delete MIN/MAX
+        sides can be sharper than the direct ones: a parent group whose
+        insertions and deletions cancel carries no side at all.  The
+        deltas may then differ, but the maintained views may not."""
+        maintained = {}
+        for use_lattice in (True, False):
+            data, views = fresh_setup(seed=23)
+            changes = workload_changes(data, workload)
+            maintain_lattice(
+                views, changes,
+                options=PropagateOptions(
+                    policy=MinMaxPolicy.SPLIT, shared_scan=shared_scan
+                ),
+                use_lattice=use_lattice,
+            )
+            for view in views:
+                assert_view_matches_recomputation(view)
+            maintained[use_lattice] = {
+                view.name: view.table.sorted_rows() for view in views
+            }
+        assert maintained[True] == maintained[False]
 
 
 class TestPropagateWithoutLattice:

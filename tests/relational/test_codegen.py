@@ -3,6 +3,9 @@
 Property-style equivalence: on null-heavy, duplicate-heavy, and
 MIN/MAX-deletion-shaped workloads, the interpreted and the compiled
 ``group_by`` must produce identical tables (content and group order).
+Group-by partials over slices of the input, merged with each reducer's
+``Reducer.merge``, must reproduce the whole-input result too: that is the
+algebra the per-shard delta merge relies on.
 """
 
 import random
@@ -113,6 +116,52 @@ class TestCompiledEquivalence:
         for compiled in (False, True):
             result = group_by(table, ["k"], specs, compiled=compiled)
             assert [row[0] for row in result.rows()] == ["b", "a", "c"]
+
+
+def merge_partials(partials, n_keys, reducers):
+    """Merge group-by partial tables state by state, keeping groups in
+    first-occurrence order across the partials (every built-in reducer
+    finalises to its state, so output values are mergeable states)."""
+    merged = {}
+    for partial in partials:
+        for row in partial.rows():
+            key, states = row[:n_keys], row[n_keys:]
+            existing = merged.get(key)
+            if existing is None:
+                merged[key] = list(states)
+            else:
+                for i, reducer in enumerate(reducers):
+                    existing[i] = reducer.merge(existing[i], states[i])
+    return [key + tuple(states) for key, states in merged.items()]
+
+
+class TestPartialStateMerge:
+    """Compiled and interpreted fold states are the same states: partials
+    over contiguous slices of the input merge with ``Reducer.merge`` to the
+    interpreted whole-input table, content and group order alike.  All
+    values are ints or exactly-representable floats, so equality is exact
+    across slice boundaries."""
+
+    @pytest.mark.parametrize("make_table", WORKLOADS)
+    @pytest.mark.parametrize("compiled", [False, True])
+    @pytest.mark.parametrize("slices", [1, 3, 16])
+    def test_merged_slices_match_interpreted(self, make_table, compiled,
+                                             slices):
+        table = make_table()
+        specs = standard_specs()
+        interpreted = group_by(table, ["k"], specs, compiled=False)
+        rows = table.rows()
+        step = -(-len(rows) // slices)
+        partials = [
+            group_by(Table("slice", table.schema, rows[start:start + step]),
+                     ["k"], specs, compiled=compiled)
+            for start in range(0, len(rows), step)
+        ]
+        assert len(partials) == slices
+        merged = merge_partials(
+            partials, 1, [reducer for _n, _e, reducer in specs]
+        )
+        assert merged == interpreted.rows()
 
 
 class TestCompileAggregation:

@@ -19,6 +19,24 @@ class TestParser:
         assert args.pos_rows == 50_000
         assert args.workload == "update"
 
+    @pytest.mark.parametrize("argv", [
+        ["maintain", "--shard-workers", "2"],
+        ["bench-propagate", "--chunks", "2"],
+        ["bench-propagate", "--backend", "thread"],
+        ["trace", "--parallel"],
+        ["explain", "--parallel"],
+        ["explain", "--partition"],
+        ["explain", "--shard-width", "2"],
+        ["explain", "--shard-workers", "2"],
+    ], ids=lambda argv: f"{argv[0]}:{argv[1]}")
+    def test_parallel_engine_flags_are_rejected(self, argv, capsys):
+        """Propagate is serial: the flags that tuned the deleted parallel
+        paths fail at parse time instead of being silently ignored."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_lattice_prints_figure8_plan(self, capsys):

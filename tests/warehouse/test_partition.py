@@ -3,13 +3,18 @@
 The differential suite proves per-shard maintenance reproduces the
 unpartitioned path end to end; these tests pin the component contracts:
 shard routing, the slot-directory storage, whole-segment expiration, change
-routing exactness, and the `Reducer.merge` delta algebra.
+routing exactness, the `Reducer.merge` delta algebra, and the per-shard
+propagate's access accounting.
 """
 
 import pytest
 
-from repro.core import MinMaxPolicy, PropagateOptions
+from repro.core import MinMaxPolicy, PropagateOptions, compute_summary_delta
 from repro.errors import InconsistentDeltaError, TableError
+from repro.lattice import build_lattice_for_views, propagate_lattice
+from repro.obs import tracing
+from repro.relational import measuring
+from repro.views import MaterializedView
 from repro.warehouse import ChangeSet
 from repro.warehouse.partition import (
     PartitionedFactTable,
@@ -17,9 +22,16 @@ from repro.warehouse.partition import (
     merge_summary_deltas,
     partition_enabled,
     partition_fact,
+    propagate_partitioned,
+)
+from repro.workload import (
+    RetailConfig,
+    generate_retail,
+    retail_view_definitions,
+    update_generating_changes,
 )
 
-from ..conftest import sid_definition
+from ..conftest import minmax_definition, sic_definition, sid_definition
 from ..differential.harness import env
 
 SCHEMA = ["storeID", "itemID", "date", "qty", "price"]
@@ -285,3 +297,160 @@ class TestMergeSummaryDeltas:
         assert together.table.rows() == split.table.rows()
         # Canonical nulls-first order, independent of input order.
         assert together.table.rows()[0] == (1, 10, None, 1, 1)
+
+    def test_single_shard_is_sorted_identity(self, pos):
+        definition = sid_definition(pos)
+        rows = [(2, 11, 2, 1, 4), (1, 10, 1, 2, 5)]
+        delta = merge_summary_deltas(definition, MinMaxPolicy.PAPER, [rows])
+        assert delta.table.rows() == sorted(rows)
+
+    def test_no_shards_give_an_empty_delta(self, pos):
+        definition = sid_definition(pos)
+        delta = merge_summary_deltas(definition, MinMaxPolicy.PAPER, [[], []])
+        assert len(delta.table) == 0
+        assert list(delta.table.schema.columns) == [
+            "storeID", "itemID", "date", "TotalCount", "TotalQuantity",
+        ]
+
+    def test_null_states_merge_like_sql(self, pos):
+        """A shard whose group saw only NULL inputs contributes a NULL
+        state, which the other shard's value absorbs for SUM/MIN/MAX."""
+        definition = minmax_definition(pos)
+        shard_a = [("west", 1, None, None, None)]
+        shard_b = [("west", 2, 3, 5, 7), ("east", 1, None, None, None)]
+        delta = merge_summary_deltas(
+            definition, MinMaxPolicy.PAPER, [shard_a, shard_b]
+        )
+        assert delta.table.rows() == [
+            ("east", 1, None, None, None),
+            ("west", 3, 3, 5, 7),
+        ]
+
+
+def mixed_changes(pos):
+    """Insertions and deletions spread over every date of the fixture, one
+    new date, and a NULL date."""
+    changes = ChangeSet("pos", pos.table.schema)
+    changes.insert_many([
+        (1, 10, 1, 4, 1.0),
+        (2, 12, 2, 3, 1.6),
+        (3, 13, 4, 2, 1.3),
+        (4, 11, 7, 9, 2.0),
+        (1, 13, None, 1, 1.2),
+    ])
+    changes.delete_many([
+        (1, 10, 1, 2, 1.0),
+        (2, 11, 2, 4, 2.1),
+        (2, 12, 3, 5, 1.6),
+        (4, 12, 2, 1, 1.5),
+    ])
+    return changes
+
+
+def shard_change_sets(partitioned, changes):
+    """Each routed shard's slice as a standalone change set."""
+    slices = []
+    for shard in partitioned.route_changes(changes):
+        sliced = ChangeSet(changes.base_name, changes.schema)
+        sliced.insert_many(shard.insertions)
+        sliced.delete_many(shard.deletions)
+        slices.append(sliced)
+    return slices
+
+
+class TestMergeEqualsUnshardedDelta:
+    """Per-shard deltas merged with ``merge_summary_deltas`` equal the one
+    delta computed over the whole change set, for views with COUNT/SUM
+    only, with MIN, and with MIN and MAX together, under both MIN/MAX
+    policies and several shard widths."""
+
+    @pytest.mark.parametrize(
+        "make_definition", [sid_definition, sic_definition, minmax_definition]
+    )
+    @pytest.mark.parametrize("policy", list(MinMaxPolicy))
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_merged_equals_unsharded(self, pos, make_definition, policy,
+                                     width):
+        definition = make_definition(pos)
+        changes = mixed_changes(pos)
+        options = PropagateOptions(policy=policy)
+        whole = compute_summary_delta(definition, changes, options)
+        partitioned = partition_fact(pos, width=width)
+        slices = shard_change_sets(partitioned, changes)
+        assert len(slices) > 1
+        merged = merge_summary_deltas(
+            definition, policy,
+            [compute_summary_delta(definition, sliced, options).table.rows()
+             for sliced in slices],
+        )
+        assert merged.table.sorted_rows() == whole.table.sorted_rows()
+        assert merged.table.schema == whole.table.schema
+
+
+def retail_partitioned(width, seed=43, pos_rows=800):
+    data = generate_retail(RetailConfig(pos_rows=pos_rows, seed=seed))
+    views = [
+        MaterializedView.build(definition)
+        for definition in retail_view_definitions(data.pos)
+    ]
+    changes = update_generating_changes(data.pos, data.config, 80, data.rng)
+    lattice = build_lattice_for_views(views)
+    return lattice, partition_fact(data.pos, width=width), changes
+
+
+class TestPropagatePartitioned:
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_charges_routing_plus_each_shard_propagate(self, width):
+        """Shard propagates charge the caller's collector directly: the
+        total is the routing scan, building each shard's change set, every
+        shard's own lattice walk, and inserting the merged delta rows, with
+        nothing dropped or counted twice."""
+        lattice, partitioned, changes = retail_partitioned(width)
+        with measuring() as slicing:
+            slices = shard_change_sets(partitioned, changes)
+        expected = slicing.snapshot().as_dict()
+        for sliced in slices:
+            with measuring() as shard_stats:
+                propagate_lattice(lattice, sliced, PropagateOptions())
+            for field, value in shard_stats.snapshot().as_dict().items():
+                expected[field] += value
+        with measuring() as stats:
+            deltas = propagate_partitioned(lattice, partitioned, changes)
+        merged_rows = sum(len(delta.table) for delta in deltas.values())
+        expected["rows_inserted"] += merged_rows
+        expected["total"] += merged_rows
+        assert partitioned.last_shard_count == len(slices) > 1
+        assert stats.snapshot().as_dict() == expected
+
+    def test_empty_change_set_takes_the_plain_lattice_walk(self):
+        lattice, partitioned, changes = retail_partitioned(2)
+        empty = ChangeSet(changes.base_name, changes.schema)
+        deltas = propagate_partitioned(lattice, partitioned, empty)
+        assert partitioned.last_shard_count == 0
+        assert set(deltas) == set(lattice.order)
+        assert all(len(delta.table) == 0 for delta in deltas.values())
+
+    def test_span_subtotals_equal_collector_totals(self, monkeypatch):
+        """Every access a shard's lattice walk charges lands in the
+        ``propagate`` span's subtree, under one ``shard:<key>`` child per
+        shard; only the routing scan runs outside it."""
+        lattice, partitioned, changes = retail_partitioned(2)
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        previous = tracing.active_recorder()
+        tracing.install_recorder(None)
+        try:
+            with tracing.trace() as recorder, measuring() as stats:
+                propagate_partitioned(lattice, partitioned, changes)
+        finally:
+            tracing.install_recorder(previous)
+        (root,) = [
+            span for span in recorder.spans("propagate")
+            if span.tags.get("partition")
+        ]
+        shard_spans = [
+            span for span in root.walk() if span.name.startswith("shard:")
+        ]
+        assert len(shard_spans) == partitioned.last_shard_count > 1
+        assert root.total_counter("rows_scanned") == (
+            stats.rows_scanned - changes.size()
+        )
